@@ -605,6 +605,8 @@ let ablation () =
   in
   table ([ "Variant"; "Asm instructions"; "Dynamic steps" ] :: rows);
   Format.printf
+    "Dynamic steps counts retired Asm instructions: one LTS step is one@.instruction in both dispatchers.@.";
+  Format.printf
     "All variants compute the same answer (checked by the no-optim rows of@.the test suite); the conventions of Thm 3.8 are insensitive to the@.optional passes (paper section 3.4, tested in test_convalg).@."
 
 (* ------------------------------------------------------------------ *)

@@ -203,6 +203,32 @@ let pp_outcome fmt (o : 'a Sup.outcome) =
     | Some d -> "  " ^ Support.Diagnostics.to_string d
     | None -> "")
 
+(** True iff every worker completed; otherwise list the ones that did
+    not. *)
+let workers_ok ~what (outcomes : 'a Sup.outcome list) =
+  let ok = Sup.all_ok outcomes in
+  if not ok then begin
+    Format.printf "FAIL: a %s worker did not complete:@." what;
+    List.iter
+      (fun o ->
+        if not (Sup.status_ok o.Sup.o_status) then
+          Format.printf "  %a@." pp_outcome o)
+      outcomes
+  end;
+  ok
+
+(** Write a report as one JSON line; a failed write is reported, not
+    fatal. *)
+let write_report ~cmd ~what path (j : Obs.Json.t) =
+  try
+    let oc = open_out path in
+    output_string oc (Obs.Json.to_string j);
+    output_char oc '\n';
+    close_out oc;
+    Format.eprintf "%s written to %s@." what path
+  with Sys_error msg ->
+    Format.eprintf "occo %s: cannot write report: %s@." cmd msg
+
 (** {1 compile} *)
 
 let compile_cmd_run file o0 dumps trace metrics allocator =
@@ -581,36 +607,21 @@ let chaos_cmd_run seed mutants json_out survivors_out jobs retries timeout_s
     (match survivors_path with
     | Some p -> Format.eprintf "survivors streamed to %s@." p
     | None -> ());
-    (match json_out with
-    | Some path -> (
-      try
-        let oc = open_out path in
-        output_string oc (Obs.Json.to_string (to_json rp));
-        output_char oc '\n';
-        close_out oc;
-        Format.eprintf "campaign report written to %s@." path
-      with Sys_error msg ->
-        Format.eprintf "occo chaos: cannot write report: %s@." msg)
-    | None -> ());
+    Option.iter
+      (fun path ->
+        write_report ~cmd:"chaos" ~what:"campaign report" path (to_json rp))
+      json_out;
     (* A resumed campaign only re-judges what the journal left open, so
        it is held to the weaker "nothing judged this run escaped". *)
     let mk =
       if skipped > 0 then partial_must_kill_ok rp else must_kill_ok rp
     in
     let ck = chaos_ok rp in
-    let wk = Sup.all_ok outcomes in
     if not mk then
       Format.printf "FAIL: a must-kill mutant class escaped all detectors@.";
     if not ck then
       Format.printf "FAIL: a chaos mode was not diagnosed as expected@.";
-    if not wk then begin
-      Format.printf "FAIL: a mutant worker did not complete:@.";
-      List.iter
-        (fun o ->
-          if not (Sup.status_ok o.Sup.o_status) then
-            Format.printf "  %a@." pp_outcome o)
-        outcomes
-    end;
+    let wk = workers_ok ~what:"mutant" outcomes in
     if mk && ck && wk then 0 else 1
 
 let chaos_cmd =
@@ -679,21 +690,14 @@ let compromise_cmd_run seed partners multi fuel json_out jobs retries
        else "");
     Format.printf "@.%a@." pp_matrix rp;
     Format.printf "%a@." pp_failures rp;
-    (match json_out with
-    | Some path -> (
-      try
-        let oc = open_out path in
-        output_string oc (Obs.Json.to_string (to_json rp));
-        output_char oc '\n';
-        close_out oc;
-        Format.eprintf "survival matrix written to %s@." path
-      with Sys_error msg ->
-        Format.eprintf "occo compromise: cannot write report: %s@." msg)
-    | None -> ());
+    Option.iter
+      (fun path ->
+        write_report ~cmd:"compromise" ~what:"survival matrix" path
+          (to_json rp))
+      json_out;
     (* A resumed campaign only re-judges what the journal left open, so
        it is held to the weaker "nothing judged this run escaped". *)
     let sv = if skipped > 0 then partial_survival_ok rp else survival_ok rp in
-    let wk = Sup.all_ok partner_outcomes in
     (* The injected hang must be *classified* by the watchdog — a
        timeout verdict, not a wedged campaign. *)
     let hg =
@@ -705,14 +709,7 @@ let compromise_cmd_run seed partners multi fuel json_out jobs retries
     if not sv then
       Format.printf
         "FAIL: a partner trial missed its expectation (see above)@.";
-    if not wk then begin
-      Format.printf "FAIL: a partner worker did not complete:@.";
-      List.iter
-        (fun o ->
-          if not (Sup.status_ok o.Sup.o_status) then
-            Format.printf "  %a@." pp_outcome o)
-        partner_outcomes
-    end;
+    let wk = workers_ok ~what:"partner" partner_outcomes in
     if not hg then
       Format.printf
         "FAIL: the injected diverging partner was not classified as a \
@@ -833,31 +830,22 @@ let batch_cmd_run dir jobs retries timeout_s memlimit_mb journal resume
     Format.printf "wall %.2fs (%.1f jobs/s over %d executed)@." elapsed
       (if elapsed > 0. then float_of_int ran /. elapsed else 0.)
       ran;
-    (match report_out with
-    | Some path -> (
-      let j =
-        match Sup.report_to_json ~payload_to_json:Fun.id outcomes with
-        | Obs.Json.Obj kvs ->
-          Obs.Json.Obj
-            (kvs
-            @ [
-                ("elapsed_s", Obs.Json.Num elapsed);
-                ( "jobs_per_s",
-                  Obs.Json.Num
-                    (if elapsed > 0. then float_of_int ran /. elapsed else 0.)
-                );
-              ])
-        | j -> j
-      in
-      try
-        let oc = open_out path in
-        output_string oc (Obs.Json.to_string j);
-        output_char oc '\n';
-        close_out oc;
-        Format.eprintf "batch report written to %s@." path
-      with Sys_error msg ->
-        Format.eprintf "occo batch: cannot write report: %s@." msg)
-    | None -> ());
+    Option.iter
+      (fun path ->
+        write_report ~cmd:"batch" ~what:"batch report" path
+          (match Sup.report_to_json ~payload_to_json:Fun.id outcomes with
+          | Obs.Json.Obj kvs ->
+            Obs.Json.Obj
+              (kvs
+              @ [
+                  ("elapsed_s", Obs.Json.Num elapsed);
+                  ( "jobs_per_s",
+                    Obs.Json.Num
+                      (if elapsed > 0. then float_of_int ran /. elapsed
+                       else 0.) );
+                ])
+          | j -> j))
+      report_out;
     if Sup.all_ok outcomes then 0 else 1
   end
 

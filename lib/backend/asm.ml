@@ -549,23 +549,6 @@ let decoded_at (ge : genv) (dc : decode_cache) (fb : block) : decoded option =
     d
   end
 
-(* The caller owns [s.rs] exclusively: a successful step has written the
-   register file in place, so the successor state reuses the same array
-   (and, when memory is untouched, is [s] itself — a step allocates
-   nothing). *)
-let step_threaded (ge : genv) (dc : decode_cache) (s : state) :
-    (Core.Events.trace * state) list =
-  match s.rs.(ipc) with
-  | Vptr (fb, pos) -> (
-    match decoded_at ge dc fb with
-    | Some code when pos >= 0 && pos < Array.length code -> (
-      match code.(pos) s.rs s.m with
-      | Some m' ->
-        [ (Core.Events.e0, if m' == s.m then s else { rs = s.rs; m = m' }) ]
-      | None -> [])
-    | _ -> [])
-  | _ -> []
-
 type full_state = { asm_init_ra : value; asm_st : state }
 
 (* PC-shaped value equality, specialized to avoid the polymorphic
@@ -602,31 +585,12 @@ let semantics_gen ~(threaded : bool) ~(symbols : Ident.t list) (p : program) :
         | _ -> false)
     | _ -> false
   in
-  (* The threaded step is inlined here rather than wrapping
-     [step_threaded] in a [List.map]: the rewrap would allocate a second
-     cons/tuple/record per step, a measurable share of the hot loop.
-     The run owns its register array exclusively between observation
-     points, so a register-only step reuses both state records; the
-     singleton transition list is the only allocation.
-
-     One LTS step executes a bounded {e run} of instructions, not just
-     one: after each decoded closure the dispatcher keeps going while
-     the PC stays inside the same function's code and differs from the
-     activation return address. Such intermediate states are provably
-     silent non-interaction states — [final] needs the PC to equal
-     [asm_init_ra] (excluded explicitly) and [at_external] needs a
-     control transfer to the base of a {e non-internal} block (the
-     current block is internal by construction) — and every internal
-     step emits the empty trace, so fusing them under one transition
-     preserves the observable behavior while paying the run loop's
-     probe-and-allocate overhead once per run instead of once per
-     instruction. A stuck instruction mid-run ends the fused step with
-     the progress made; the decode invariant (no register write before
-     fallibility is resolved) means re-executing it on the next [step]
-     fails identically, reporting the same stuck state one transition
-     later. The budget bounds a fused step so fuel still bounds
-     in-function loops. *)
-  let fuse_budget = 64 in
+  (* The threaded step writes the register file in place: the run owns
+     its register array exclusively between observation points, so a
+     register-only step reuses both state records and the singleton
+     transition list is the only allocation. One step retires one
+     instruction in both dispatchers, so fuel bounds work here as at
+     every other level. *)
   let step_full =
     if threaded then fun s ->
       match s.asm_st.rs.(ipc) with
@@ -634,25 +598,10 @@ let semantics_gen ~(threaded : bool) ~(symbols : Ident.t list) (p : program) :
         match decoded_at ge dc fb with
         | Some code when pos >= 0 && pos < Array.length code -> (
           match code.(pos) s.asm_st.rs s.asm_st.m with
-          | Some m0 ->
-            let rs = s.asm_st.rs in
-            let len = Array.length code in
-            let rec fuse budget m =
-              if budget = 0 then m
-              else
-                match rs.(ipc) with
-                | Vptr (fb', pos')
-                  when fb' = fb && pos' >= 0 && pos' < len
-                       && not (pc_eq rs.(ipc) s.asm_init_ra) -> (
-                  match code.(pos') rs m with
-                  | Some m' -> fuse (budget - 1) m'
-                  | None -> m)
-                | _ -> m
-            in
-            let m' = fuse (fuse_budget - 1) m0 in
+          | Some m' ->
             [ ( Core.Events.e0,
                 if m' == s.asm_st.m then s
-                else { s with asm_st = { rs; m = m' } } ) ]
+                else { s with asm_st = { rs = s.asm_st.rs; m = m' } } ) ]
           | None -> [])
         | _ -> [])
       | _ -> []

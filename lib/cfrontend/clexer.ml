@@ -88,7 +88,11 @@ let tokenize (src : string) : t =
           | 'l' | 'L' -> l := true; incr i
           | _ -> continue_suffix := false
         done;
-        let v = Int64.of_string text in
+        let v =
+          match Int64.of_string_opt text with
+          | Some v -> v
+          | None -> raise (Lex_error ("integer literal out of range", !line))
+        in
         let suffix =
           match (!u, !l) with
           | false, false -> `I

@@ -117,3 +117,32 @@ let outcome_refines (src : c_outcome) (tgt : c_outcome) : bool =
 
 let pp_c_outcome fmt (o : c_outcome) =
   Smallstep.pp_outcome pp_c_reply fmt o
+
+(** A printable name for an outcome, and whether the harness diagnosed
+    it (anything but a normal final answer). *)
+let classify_outcome (o : c_outcome) : string * bool =
+  match o with
+  | Smallstep.Final _ -> ("final", false)
+  | Smallstep.Goes_wrong (_, why) -> ("goes-wrong: " ^ why, true)
+  | Smallstep.Env_stuck _ -> ("env-stuck", true)
+  | Smallstep.Env_violation (_, why) -> ("env-violation: " ^ why, true)
+  | Smallstep.Refused -> ("refused", true)
+  | Smallstep.Out_of_fuel _ -> ("out-of-fuel", true)
+
+(** Compile a program and build the query invoking its [main]: the
+    artifacts, the symbols and the query, or a diagnostic naming
+    [name]. *)
+let compile_main ~name src =
+  match Compiler.compile_source_diag src with
+  | Error f -> Error f.Compiler.fail_diag
+  | Ok arts -> (
+    let p = arts.Compiler.clight1 in
+    let symbols = Ast.prog_defs_names p in
+    match main_query ~symbols ~defs:p () with
+    | Some q -> Ok (arts, symbols, q)
+    | None ->
+      Error
+        (Diagnostics.make ~phase:Diagnostics.Campaign
+           ~kind:Diagnostics.Internal_error
+           ~context:[ ("program", name) ]
+           "cannot build the main query for program %s" name))

@@ -70,3 +70,14 @@ val run_a_level :
 val outcome_refines : c_outcome -> c_outcome -> bool
 
 val pp_c_outcome : Format.formatter -> c_outcome -> unit
+
+(** A printable name for an outcome, and whether the harness diagnosed
+    it (anything but a normal final answer). *)
+val classify_outcome : c_outcome -> string * bool
+
+(** Compile a program and build the query invoking its [main]; the
+    diagnostic names the program [name] when no query can be built. *)
+val compile_main :
+  name:string ->
+  string ->
+  (Compiler.artifacts * Ident.t list * c_query, Diagnostics.t) result

@@ -146,7 +146,7 @@ let reference_outcome (arts : Driver.Compiler.artifacts) ~symbols q =
 (* The differential detector over the mutated backend: each mutated
    level, run through its simulation convention, must still refine the
    Clight reference. *)
-let differential_detector ~symbols ~ref_outcome
+let differential_detector ~ref_outcome
     (levels : (string * (unit -> (Driver.Runners.c_outcome, string) result)) list)
     () : string option =
   let check (name, run) =
@@ -159,7 +159,6 @@ let differential_detector ~symbols ~ref_outcome
           (Format.asprintf "%s does not refine the reference: %a" name
              Driver.Runners.pp_c_outcome o)
   in
-  ignore symbols;
   List.find_map check levels
 
 (* The coexec detector: source Clight (post-SimplLocals, whose memory
@@ -184,68 +183,47 @@ let judge ~symbols ~(arts : Driver.Compiler.artifacts) ~ref_outcome ~program
     (mutated : [ `Rtl of Middle.Rtl.program | `Linear of Backend.Linear.program ])
     : mutant_result =
   let open Driver in
+  (* The mutated program's own level, then Mach and Asm rebuilt from it. *)
+  let levels_from name run mach asm =
+    ( None,
+      [
+        (name, run);
+        ( "mach(mutated)",
+          fun () ->
+            Runners.run_m_level (Backend.Mach.semantics ~symbols mach) ~fuel q );
+        ( "asm(mutated)",
+          fun () ->
+            Runners.run_a_level (Backend.Asm.semantics ~symbols asm) ~fuel q );
+      ],
+      Some asm )
+  in
   let pipeline_err, levels, masm =
     match mutated with
     | `Rtl rtl -> (
       match Compiler.backend_from_rtl rtl with
       | Error e -> (Some e, [], None)
       | Ok b ->
-        ( None,
-          [
-            ( "rtl(mutated)",
-              fun () ->
-                Ok
-                  (Runners.run_c_level
-                     (Middle.Rtl.semantics ~symbols rtl)
-                     ~fuel q) );
-            ( "mach(mutated)",
-              fun () ->
-                Runners.run_m_level
-                  (Backend.Mach.semantics ~symbols b.Compiler.b_mach)
-                  ~fuel q );
-            ( "asm(mutated)",
-              fun () ->
-                Runners.run_a_level
-                  (Backend.Asm.semantics ~symbols b.Compiler.b_asm)
-                  ~fuel q );
-          ],
-          Some b.Compiler.b_asm ))
+        levels_from "rtl(mutated)"
+          (fun () ->
+            Ok (Runners.run_c_level (Middle.Rtl.semantics ~symbols rtl) ~fuel q))
+          b.Compiler.b_mach b.Compiler.b_asm)
     | `Linear linear -> (
       match Compiler.finish_from_linear linear with
       | Error e -> (Some e, [], None)
       | Ok (mach, asm) ->
-        ( None,
-          [
-            ( "linear(mutated)",
-              fun () ->
-                Runners.run_l_level
-                  (Backend.Linear.semantics ~symbols linear)
-                  ~fuel q );
-            ( "mach(mutated)",
-              fun () ->
-                Runners.run_m_level (Backend.Mach.semantics ~symbols mach) ~fuel q
-            );
-            ( "asm(mutated)",
-              fun () ->
-                Runners.run_a_level (Backend.Asm.semantics ~symbols asm) ~fuel q
-            );
-          ],
-          Some asm ))
+        levels_from "linear(mutated)"
+          (fun () ->
+            Runners.run_l_level (Backend.Linear.semantics ~symbols linear) ~fuel q)
+          mach asm)
   in
   let kills =
-    List.filter_map
-      (fun k -> k)
+    List.filter_map Fun.id
       [
-        (match pipeline_err with
-        | Some e -> Some ("pipeline", e)
-        | None -> None);
-        guard "differential"
-          (differential_detector ~symbols ~ref_outcome levels);
-        (match masm with
-        | Some asm ->
-          guard "coexec"
-            (coexec_detector ~symbols ~clight2:arts.Compiler.clight2 asm q)
-        | None -> None);
+        Option.map (fun e -> ("pipeline", e)) pipeline_err;
+        guard "differential" (differential_detector ~ref_outcome levels);
+        Option.bind masm (fun asm ->
+            guard "coexec"
+              (coexec_detector ~symbols ~clight2:arts.Compiler.clight2 asm q));
       ]
   in
   {
@@ -270,24 +248,15 @@ let compile_corpus () : (compiled list, Diag.t) result =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | (name, src) :: rest -> (
-      match Driver.Compiler.compile_source_diag src with
-      | Error f -> Error f.Driver.Compiler.fail_diag
-      | Ok arts -> (
-        let p = arts.Driver.Compiler.clight1 in
-        let symbols = Iface.Ast.prog_defs_names p in
-        match Driver.Runners.main_query ~symbols ~defs:p () with
-        | None ->
-          Error
-            (Diag.make ~phase:Diag.Campaign ~kind:Diag.Internal_error
-               ~context:[ ("program", name) ]
-               "cannot build the main query for corpus program %s" name)
-        | Some q ->
-          let r = reference_outcome arts ~symbols q in
-          go
-            ({ cp_name = name; cp_symbols = symbols; cp_arts = arts;
-               cp_query = q; cp_ref = r }
-            :: acc)
-            rest))
+      match Driver.Runners.compile_main ~name src with
+      | Error d -> Error d
+      | Ok (arts, symbols, q) ->
+        let r = reference_outcome arts ~symbols q in
+        go
+          ({ cp_name = name; cp_symbols = symbols; cp_arts = arts;
+             cp_query = q; cp_ref = r }
+          :: acc)
+          rest)
   in
   go [] corpus
 
@@ -323,15 +292,6 @@ let chaos_prims () =
       prim_impl = (fun _ -> 0l) };
   ]
 
-let classify_outcome (o : Driver.Runners.c_outcome) : string * bool =
-  match o with
-  | Core.Smallstep.Final _ -> ("final", false)
-  | Core.Smallstep.Goes_wrong (_, why) -> ("goes-wrong: " ^ why, true)
-  | Core.Smallstep.Env_stuck _ -> ("env-stuck", true)
-  | Core.Smallstep.Env_violation (_, why) -> ("env-violation: " ^ why, true)
-  | Core.Smallstep.Refused -> ("refused", true)
-  | Core.Smallstep.Out_of_fuel _ -> ("out-of-fuel", true)
-
 (** Expected diagnosis per mode: [Well_behaved] must complete normally;
     every other mode must be diagnosed (not crash, not complete). *)
 let chaos_expectation (m : Chaos_oracle.mode) (diagnosed : bool) : bool =
@@ -340,56 +300,52 @@ let chaos_expectation (m : Chaos_oracle.mode) (diagnosed : bool) : bool =
   | _ -> diagnosed
 
 let run_chaos_modes () : chaos_result list =
-  match Driver.Compiler.compile_source_diag chaos_src with
-  | Error _ -> [] (* the corpus is fixed; this cannot happen *)
-  | Ok arts -> (
+  match Driver.Runners.compile_main ~name:"chaos" chaos_src with
+  | Error _ -> [] (* the program is fixed; this cannot happen *)
+  | Ok (arts, symbols, q) ->
     let p = arts.Driver.Compiler.clight1 in
-    let symbols = Iface.Ast.prog_defs_names p in
-    match Driver.Runners.main_query ~symbols ~defs:p () with
-    | None -> []
-    | Some q ->
-      List.concat_map
-        (fun mode ->
-          let fuel = Chaos_oracle.fuel_for mode ~fuel in
-          let c_run () =
-            let rec_, _ = Driver.Io_oracle.make_log () in
-            let base =
-              Driver.Io_oracle.c_oracle ~symbols (chaos_prims ()) rec_
-            in
-            Driver.Runners.run_c_level
-              (Cfrontend.Clight.semantics ~symbols p)
+    List.concat_map
+      (fun mode ->
+        let fuel = Chaos_oracle.fuel_for mode ~fuel in
+        let c_run () =
+          let rec_, _ = Driver.Io_oracle.make_log () in
+          let base =
+            Driver.Io_oracle.c_oracle ~symbols (chaos_prims ()) rec_
+          in
+          Driver.Runners.run_c_level
+            (Cfrontend.Clight.semantics ~symbols p)
+            ~fuel
+            ~oracle:(Chaos_oracle.c_chaos mode base)
+            ~check_reply:Chaos_oracle.conformance_c q
+        in
+        let a_run () =
+          let rec_, _ = Driver.Io_oracle.make_log () in
+          let base =
+            Driver.Io_oracle.a_oracle ~symbols (chaos_prims ()) rec_
+          in
+          match
+            Driver.Runners.run_a_level
+              (Backend.Asm.semantics ~symbols arts.Driver.Compiler.asm)
               ~fuel
-              ~oracle:(Chaos_oracle.c_chaos mode base)
-              ~check_reply:Chaos_oracle.conformance_c q
+              ~oracle:(Chaos_oracle.a_chaos mode base)
+              ~check_reply:(Chaos_oracle.conformance_a ?sg:None)
+              q
+          with
+          | Ok o -> o
+          | Error e -> Core.Smallstep.Goes_wrong ([], "marshal: " ^ e)
+        in
+        let result level run =
+          let outcome, diagnosed =
+            match run () with
+            | o -> Driver.Runners.classify_outcome o
+            | exception e ->
+              ("uncaught exception: " ^ Printexc.to_string e, false)
           in
-          let a_run () =
-            let rec_, _ = Driver.Io_oracle.make_log () in
-            let base =
-              Driver.Io_oracle.a_oracle ~symbols (chaos_prims ()) rec_
-            in
-            match
-              Driver.Runners.run_a_level
-                (Backend.Asm.semantics ~symbols arts.Driver.Compiler.asm)
-                ~fuel
-                ~oracle:(Chaos_oracle.a_chaos mode base)
-                ~check_reply:(Chaos_oracle.conformance_a ?sg:None)
-                q
-            with
-            | Ok o -> o
-            | Error e -> Core.Smallstep.Goes_wrong ([], "marshal: " ^ e)
-          in
-          let result level run =
-            let outcome, diagnosed =
-              match run () with
-              | o -> classify_outcome o
-              | exception e ->
-                ("uncaught exception: " ^ Printexc.to_string e, false)
-            in
-            { cr_mode = mode; cr_level = level; cr_outcome = outcome;
-              cr_diagnosed = diagnosed }
-          in
-          [ result "C" c_run; result "A" a_run ])
-        Chaos_oracle.all_modes)
+          { cr_mode = mode; cr_level = level; cr_outcome = outcome;
+            cr_diagnosed = diagnosed }
+        in
+        [ result "C" c_run; result "A" a_run ])
+      Chaos_oracle.all_modes
 
 (** {1 The campaign}
 
@@ -493,71 +449,44 @@ let assemble ~seed ~requested ~classes ~(results : mutant_result list) ~chaos :
     rp_chaos = chaos;
   }
 
-(** Run a seeded campaign of [mutants] mutants in-process, cycling over
-    the mutant classes and the corpus. Never raises: every failure mode
-    is part of the result. [on_result] fires as each mutant is judged —
-    the incremental-survivor dump hangs off it, so a campaign that dies
-    halfway has still left its triage artifacts behind. *)
-let run ?(classes = Mutate.all_classes) ?(on_result = fun _ -> ()) ~seed
-    ~mutants () : (report, Diag.t) result =
+(** Run a seeded campaign of [mutants] mutants, cycling over the
+    mutant classes and the corpus, in-process or with [supervise] one
+    {!Harness.Supervisor} job per mutant (see {!Harness.Trials}). The
+    corpus is compiled once in the parent; workers inherit it through
+    [fork]. Never raises: every failure mode is part of the result.
+    [on_result] fires as each mutant is judged — the incremental
+    survivor dump hangs off it, so a campaign that dies halfway has
+    still left its triage artifacts behind. *)
+let run_trials ?supervise ?(classes = Mutate.all_classes)
+    ?(on_result = fun _ -> ()) ~seed ~mutants () =
   match compile_corpus () with
   | Error d -> Error d
   | Ok compiled ->
-    let results = ref [] in
-    for i = 0 to mutants - 1 do
-      match try_mutant ~compiled ~classes ~seed i with
-      | None -> ()
-      | Some r ->
-        record_result_metrics r;
-        on_result r;
-        results := r :: !results
-    done;
+    let results, outcomes =
+      Harness.Trials.run ?supervise ~id_prefix:"mutant"
+        ~job_class:"chaos-mutant" ~n:mutants
+        ~on_result:(fun r ->
+          record_result_metrics r;
+          on_result r)
+        (try_mutant ~compiled ~classes ~seed)
+    in
     let chaos = run_chaos_modes () in
-    Ok
-      (assemble ~seed ~requested:mutants ~classes ~results:(List.rev !results)
-         ~chaos)
+    Ok (assemble ~seed ~requested:mutants ~classes ~results ~chaos, outcomes)
 
-(** The supervised campaign: one {!Harness.Supervisor} job per mutant,
-    each judged in a forked worker, so a mutant that wedges or crashes
-    a detector is a [Job_timeout]/[Job_crashed] outcome instead of the
-    end of the campaign. The corpus is compiled once in the parent;
-    workers inherit it through [fork]. With a journal and [resume],
-    already-judged mutants are skipped (their results are then absent
-    from the report, which accounts for them in [rp_requested] vs
-    [rp_results]). Returns the report plus the raw supervisor
-    outcomes. *)
-let run_supervised ?(classes = Mutate.all_classes) ?(on_result = fun _ -> ())
-    ~(cfg : Harness.Supervisor.config) ~seed ~mutants () :
-    (report * mutant_result option Harness.Supervisor.outcome list, Diag.t)
-    result =
-  match compile_corpus () with
-  | Error d -> Error d
-  | Ok compiled ->
-    let jobs =
-      List.init mutants (fun i ->
-          {
-            Harness.Supervisor.job_id = Printf.sprintf "mutant-%04d" i;
-            job_class = "chaos-mutant";
-            job_run =
-              (fun ~attempt:_ -> Ok (try_mutant ~compiled ~classes ~seed i));
-            job_degraded = None;
-          })
-    in
-    let results = ref [] in
-    let on_outcome (o : mutant_result option Harness.Supervisor.outcome) =
-      match o.Harness.Supervisor.o_payload with
-      | Some (Some r) ->
-        record_result_metrics r;
-        on_result r;
-        results := r :: !results
-      | _ -> ()
-    in
-    let outcomes = Harness.Supervisor.run ~on_outcome cfg jobs in
-    let chaos = run_chaos_modes () in
-    Ok
-      ( assemble ~seed ~requested:mutants ~classes
-          ~results:(List.rev !results) ~chaos,
-        outcomes )
+(** The in-process campaign. *)
+let run ?classes ?on_result ~seed ~mutants () : (report, Diag.t) result =
+  Result.map fst (run_trials ?classes ?on_result ~seed ~mutants ())
+
+(** The supervised campaign: each mutant judged in a forked worker, so
+    a mutant that wedges or crashes a detector is a
+    [Job_timeout]/[Job_crashed] outcome instead of the end of the
+    campaign. With a journal and [resume], already-judged mutants are
+    skipped (their results are then absent from the report, which
+    accounts for them in [rp_requested] vs [rp_results]). Returns the
+    report plus the raw supervisor outcomes. *)
+let run_supervised ?classes ?on_result ~(cfg : Harness.Supervisor.config)
+    ~seed ~mutants () =
+  run_trials ~supervise:cfg ?classes ?on_result ~seed ~mutants ()
 
 (** Every chaos mode behaved as expected (misbehavior diagnosed, the
     control run clean, no uncaught exceptions). *)

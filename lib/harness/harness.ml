@@ -9,8 +9,13 @@
       crash-safe record behind [--resume];
     - {!Worker}: one job in one forked process, wall-clock and memory
       watchdogs, exit status classified into a structured verdict;
-    - {!Supervisor}: the batch loop tying them together — concurrency,
-      retry, shed, degrade, checkpoint.
+    - {!Pool}: the one place workers are spawned, watched and reaped —
+      submit, poll with a wait horizon, verdict callback; the batch
+      supervisor and the compile daemon both drive it;
+    - {!Supervisor}: the batch policy over the pool — retry, shed,
+      degrade, checkpoint;
+    - {!Trials}: seeded trials [i = f(seed, i)], in-process or as
+      supervisor jobs — the engine under both campaigns.
 
     The same philosophy as the compiler it serves: treat each job as an
     open component characterized by its interactions (here: one
@@ -21,4 +26,6 @@ module Backoff = Backoff
 module Breaker = Breaker
 module Checkpoint = Checkpoint
 module Worker = Worker
+module Pool = Pool
 module Supervisor = Supervisor
+module Trials = Trials

@@ -17,9 +17,9 @@
       variant (e.g. recompiling at [-O0], keeping partial artifacts) —
       a lesser answer beats no answer.
 
-    The loop is single-threaded: one [select] over the workers' result
-    pipes, with the timeout set to the nearest of (worker deadline,
-    backoff wake-up). Time comes from the monotonic [Obs.now_us]. *)
+    Spawning, watching and reaping workers is the {!Pool}'s job; the
+    supervisor keeps only the policy — per-class breakers, retry then
+    degrade, and the journal. *)
 
 module Diag = Support.Diagnostics
 
@@ -97,24 +97,19 @@ let default_config =
   }
 
 (* ------------------------------------------------------------------ *)
-(* The loop                                                           *)
+(* The policy over the pool                                           *)
 (* ------------------------------------------------------------------ *)
 
-type 'a pending = {
-  p_job : 'a job;
-  p_attempt : int;  (** 0-based index of the attempt about to run *)
-  p_degraded : bool;  (** this attempt is the degraded fallback *)
-  p_ready_us : float;  (** backoff: not before this instant *)
-  p_launches : int;  (** workers already spawned for this job *)
-  p_first_us : float option;  (** when the first worker started *)
-  p_rng : Random.State.t;  (** per-job deterministic jitter *)
+(* What the supervisor tracks per job across its attempts. *)
+type 'a tracked = {
+  t_job : 'a job;
+  t_rng : Random.State.t;  (** per-job deterministic jitter *)
+  mutable t_launches : int;  (** workers spawned for this job *)
+  mutable t_first_us : float option;  (** when the first worker started *)
 }
-
-type 'a running = { r_handle : Worker.handle; r_pending : 'a pending }
 
 let run ?(on_outcome = fun (_ : 'a outcome) -> ()) (cfg : config)
     (jobs : 'a job list) : 'a outcome list =
-  let cfg = { cfg with c_jobs = max 1 cfg.c_jobs } in
   let completed_before =
     match (cfg.c_resume, cfg.c_journal) with
     | true, Some path -> Checkpoint.completed_ids (Checkpoint.load path)
@@ -140,18 +135,18 @@ let run ?(on_outcome = fun (_ : 'a outcome) -> ()) (cfg : config)
       Hashtbl.add breakers cls b;
       b
   in
-  let finalize ?payload ?diag ~now (p : 'a pending) (st : status) =
+  let finalize ?payload ?diag ~now (t : 'a tracked) (st : status) =
     let elapsed =
-      match p.p_first_us with Some t0 -> now -. t0 | None -> 0.
+      match t.t_first_us with Some t0 -> now -. t0 | None -> 0.
     in
     let o =
       {
-        o_id = p.p_job.job_id;
-        o_class = p.p_job.job_class;
+        o_id = t.t_job.job_id;
+        o_class = t.t_job.job_class;
         o_status = st;
         o_payload = payload;
         o_diag = diag;
-        o_attempts = p.p_launches;
+        o_attempts = t.t_launches;
         o_elapsed_us = elapsed;
       }
     in
@@ -172,222 +167,120 @@ let run ?(on_outcome = fun (_ : 'a outcome) -> ()) (cfg : config)
       writer;
     on_outcome o
   in
-  (* Initial queue: everything the journal has not already completed. *)
-  let now0 = Obs.now_us () in
-  let queue : 'a pending list ref = ref [] in
-  List.iter
-    (fun j ->
-      if Hashtbl.mem completed_before j.job_id then
-        finalize ~now:now0
-          {
-            p_job = j;
-            p_attempt = 0;
-            p_degraded = false;
-            p_ready_us = now0;
-            p_launches = 0;
-            p_first_us = None;
-            p_rng = Random.State.make [| cfg.c_seed |];
-          }
-          Skipped
-      else
-        queue :=
-          {
-            p_job = j;
-            p_attempt = 0;
-            p_degraded = false;
-            p_ready_us = now0;
-            p_launches = 0;
-            p_first_us = None;
-            p_rng = Random.State.make [| cfg.c_seed; Hashtbl.hash j.job_id |];
-          }
-          :: !queue)
-    jobs;
-  queue := List.rev !queue;
-  let running : 'a running list ref = ref [] in
-  (* Decide what a finished (or failed-to-finish) attempt leads to:
-     retry with backoff, degrade, or a terminal outcome. *)
-  let conclude ~now (p : 'a pending) (v : 'a Worker.verdict) =
-    let b = breaker p.p_job.job_class in
+  let diag_of (t : 'a tracked) = function
+    | Worker.Returned (Error d) -> d
+    | v ->
+      let kind, msg =
+        match v with
+        | Worker.Crashed why -> (Diag.Job_crashed, "worker died: " ^ why)
+        | Worker.Pipe_write_failed ->
+          ( Diag.Job_crashed,
+            "worker completed but could not write its result to the pipe" )
+        | Worker.Oom -> (Diag.Resource_exhausted, "worker exceeded its memory limit")
+        | Worker.Timed_out -> (Diag.Job_timeout, "worker exceeded its wall-clock limit")
+        | Worker.Returned _ -> assert false
+      in
+      Diag.make ~phase:Diag.Batch ~kind ~context:[ ("job", t.t_job.job_id) ] "%s"
+        msg
+  in
+  let terminal_status = function
+    | Worker.Returned _ -> Failed
+    | Worker.Crashed _ | Worker.Pipe_write_failed | Worker.Oom -> Crashed
+    | Worker.Timed_out -> Timed_out
+  in
+  let pool = Pool.create ~capacity:cfg.c_jobs in
+  (* Queue one attempt of [t]; the class's breaker decides at launch
+     time whether it runs or is shed. *)
+  let rec submit ~ready_us ~attempt ~degraded (t : 'a tracked) =
+    let job = t.t_job in
+    let admit ~now =
+      if Breaker.allow (breaker job.job_class) ~now_us:now then begin
+        Obs.Metrics.incr_counter "harness.jobs.launched";
+        t.t_launches <- t.t_launches + 1;
+        if t.t_first_us = None then t.t_first_us <- Some now;
+        true
+      end
+      else begin
+        finalize ~now
+          ~diag:
+            (Diag.make ~phase:Diag.Batch ~kind:Diag.Circuit_open
+               ~context:[ ("class", job.job_class) ]
+               "job shed: circuit breaker for class %s is open" job.job_class)
+          t Shed;
+        false
+      end
+    in
+    Pool.submit pool ~ready_us ?timeout_us:cfg.c_timeout_us
+      ?memlimit_bytes:cfg.c_memlimit_bytes ~label:("job:" ^ job.job_id)
+      ~attrs:
+        [
+          ("class", Obs.Json.Str job.job_class);
+          ("attempt", Obs.Json.num_of_int attempt);
+          ("degraded", Obs.Json.Bool degraded);
+        ]
+      ~admit
+      ~on_verdict:(conclude ~attempt ~degraded t)
+      (if degraded then Option.get job.job_degraded
+       else fun () -> job.job_run ~attempt)
+  (* Decide what a finished attempt leads to: retry with backoff,
+     degrade, or a terminal outcome. *)
+  and conclude ~attempt ~degraded t ~now (v : 'a Worker.verdict) =
     let ok = match v with Worker.Returned (Ok _) -> true | _ -> false in
-    Breaker.record b ~now_us:now ~ok;
-    let diag_of = function
-      | Worker.Returned (Error d) -> d
-      | Worker.Crashed why ->
-        Diag.make ~phase:Diag.Batch ~kind:Diag.Job_crashed
-          ~context:[ ("job", p.p_job.job_id) ]
-          "worker died: %s" why
-      | Worker.Pipe_write_failed ->
-        Diag.make ~phase:Diag.Batch ~kind:Diag.Job_crashed
-          ~context:[ ("job", p.p_job.job_id) ]
-          "worker completed but could not write its result to the pipe"
-      | Worker.Oom ->
-        Diag.make ~phase:Diag.Batch ~kind:Diag.Resource_exhausted
-          ~context:[ ("job", p.p_job.job_id) ]
-          "worker exceeded its memory limit"
-      | Worker.Timed_out ->
-        Diag.make ~phase:Diag.Batch ~kind:Diag.Job_timeout
-          ~context:[ ("job", p.p_job.job_id) ]
-          "worker exceeded its wall-clock limit"
-      | Worker.Returned (Ok _) -> assert false
-    in
-    let terminal_status = function
-      | Worker.Returned (Error _) -> Failed
-      | Worker.Crashed _ | Worker.Pipe_write_failed | Worker.Oom -> Crashed
-      | Worker.Timed_out -> Timed_out
-      | Worker.Returned (Ok _) -> assert false
-    in
+    Breaker.record (breaker t.t_job.job_class) ~now_us:now ~ok;
     match v with
     | Worker.Returned (Ok payload) ->
-      finalize ~now ~payload p (if p.p_degraded then Degraded else Completed)
+      finalize ~now ~payload t (if degraded then Degraded else Completed)
     | v ->
-      let d = diag_of v in
-      if p.p_degraded then
+      let d = diag_of t v in
+      if degraded then
         (* The fallback itself failed: terminal, no more lifelines. *)
-        finalize ~now ~diag:d p (terminal_status v)
-      else if Diag.is_transient d.Diag.kind && p.p_attempt < cfg.c_retries
-      then begin
-        let delay =
-          Backoff.delay_us cfg.c_backoff ~rng:p.p_rng
-            ~attempt:(p.p_attempt + 1)
-        in
+        finalize ~now ~diag:d t (terminal_status v)
+      else if Diag.is_transient d.Diag.kind && attempt < cfg.c_retries then begin
         Obs.Metrics.incr_counter "harness.jobs.retries";
-        queue :=
-          !queue
-          @ [ { p with p_attempt = p.p_attempt + 1; p_ready_us = now +. delay } ]
+        let delay =
+          Backoff.delay_us cfg.c_backoff ~rng:t.t_rng ~attempt:(attempt + 1)
+        in
+        submit ~ready_us:(now +. delay) ~attempt:(attempt + 1) ~degraded:false t
       end
-      else
-        match p.p_job.job_degraded with
-        | Some _ ->
-          Obs.Metrics.incr_counter "harness.jobs.degraded_attempts";
-          queue := !queue @ [ { p with p_degraded = true; p_ready_us = now } ]
-        | None -> finalize ~now ~diag:d p (terminal_status v)
+      else if t.t_job.job_degraded <> None then begin
+        Obs.Metrics.incr_counter "harness.jobs.degraded_attempts";
+        submit ~ready_us:now ~attempt ~degraded:true t
+      end
+      else finalize ~now ~diag:d t (terminal_status v)
   in
-  let reap_running ~timed_out ~now (r : 'a running) =
-    running := List.filter (fun r' -> r' != r) !running;
-    if timed_out then Worker.kill r.r_handle;
-    conclude ~now r.r_pending (Worker.reap r.r_handle ~timed_out)
-  in
-  let launch ~now (p : 'a pending) =
-    let b = breaker p.p_job.job_class in
-    if not (Breaker.allow b ~now_us:now) then
-      finalize ~now
-        ~diag:
-          (Diag.make ~phase:Diag.Batch ~kind:Diag.Circuit_open
-             ~context:[ ("class", p.p_job.job_class) ]
-             "job shed: circuit breaker for class %s is open" p.p_job.job_class)
-        p Shed
-    else begin
-      let thunk =
-        if p.p_degraded then Option.get p.p_job.job_degraded
-        else fun () -> p.p_job.job_run ~attempt:p.p_attempt
-      in
-      let h =
-        Worker.spawn ?timeout_us:cfg.c_timeout_us
-          ?memlimit_bytes:cfg.c_memlimit_bytes
-          ~label:("job:" ^ p.p_job.job_id)
-          ~attrs:
-            [
-              ("class", Obs.Json.Str p.p_job.job_class);
-              ("attempt", Obs.Json.num_of_int p.p_attempt);
-              ("degraded", Obs.Json.Bool p.p_degraded);
-            ]
-          thunk
-      in
-      Obs.Metrics.incr_counter "harness.jobs.launched";
-      running :=
+  (* Initial queue: everything the journal has not already completed. *)
+  let now0 = Obs.now_us () in
+  List.iter
+    (fun j ->
+      let t =
         {
-          r_handle = h;
-          r_pending =
-            {
-              p with
-              p_launches = p.p_launches + 1;
-              p_first_us =
-                (match p.p_first_us with
-                | Some _ as t -> t
-                | None -> Some h.Worker.started_us);
-            };
+          t_job = j;
+          t_rng = Random.State.make [| cfg.c_seed; Hashtbl.hash j.job_id |];
+          t_launches = 0;
+          t_first_us = None;
         }
-        :: !running
-    end
-  in
+      in
+      if Hashtbl.mem completed_before j.job_id then finalize ~now:now0 t Skipped
+      else submit ~ready_us:now0 ~attempt:0 ~degraded:false t)
+    jobs;
   let loop () =
-    while !queue <> [] || !running <> [] do
-      let now = Obs.now_us () in
+    while not (Pool.idle pool) do
       (* Service gauges: what the supervisor looks like from outside,
          one write per loop turn (no-ops with observability off). *)
       Obs.Metrics.set_gauge "harness.queue_depth"
-        (float_of_int (List.length !queue));
-      Obs.Metrics.set_gauge "harness.inflight"
-        (float_of_int (List.length !running));
-      (* Launch every ready job while there is capacity. *)
-      let rec fill () =
-        if List.length !running < cfg.c_jobs then
-          match
-            List.partition (fun p -> p.p_ready_us <= now) !queue
-          with
-          | p :: rest_ready, not_ready ->
-            queue := rest_ready @ not_ready;
-            launch ~now p;
-            fill ()
-          | [], _ -> ()
-      in
-      fill ();
-      (* Kill anything past its deadline. *)
-      List.iter
-        (fun r ->
-          if now >= r.r_handle.Worker.deadline_us then
-            reap_running ~timed_out:true ~now r)
-        !running;
-      if !queue <> [] || !running <> [] then begin
-        let next_deadline =
-          List.fold_left
-            (fun acc r -> Float.min acc r.r_handle.Worker.deadline_us)
-            infinity !running
-        and next_ready =
-          List.fold_left
-            (fun acc p -> Float.min acc p.p_ready_us)
-            infinity !queue
-        in
-        let horizon = Float.min next_deadline next_ready in
-        let wait_s =
-          if horizon = infinity then 0.5
-          else Float.max 0. (Float.min 0.5 ((horizon -. now) /. 1e6))
-        in
-        match !running with
-        | [] -> if wait_s > 0. then Unix.sleepf wait_s
-        | rs -> (
-          let fds = List.map (fun r -> r.r_handle.Worker.fd) rs in
-          match Unix.select fds [] [] wait_s with
-          | ready, _, _ ->
-            List.iter
-              (fun fd ->
-                match
-                  List.find_opt (fun r -> r.r_handle.Worker.fd = fd) !running
-                with
-                | None -> ()
-                | Some r -> (
-                  match Worker.read_chunk r.r_handle with
-                  | `More -> ()
-                  | `Eof ->
-                    reap_running ~timed_out:false ~now:(Obs.now_us ()) r))
-              ready
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
-      end
+        (float_of_int (Pool.queued pool));
+      Obs.Metrics.set_gauge "harness.inflight" (float_of_int (Pool.running pool));
+      ignore (Pool.poll pool ~max_wait_s:0.5 ())
     done
   in
-  let cleanup () =
-    (* On any exit — including an interrupt raised from a signal
-       handler — no worker outlives the supervisor, and the journal fd
-       is closed (every line already hit the disk via fsync). *)
-    List.iter
-      (fun r ->
-        Worker.kill r.r_handle;
-        ignore (Worker.reap r.r_handle ~timed_out:true))
-      !running;
-    running := [];
-    Option.iter Checkpoint.close writer
-  in
-  Fun.protect ~finally:cleanup loop;
+  (* On any exit — including an interrupt raised from a signal handler —
+     no worker outlives the supervisor, and the journal fd is closed
+     (every line already hit the disk via fsync). *)
+  Fun.protect
+    ~finally:(fun () ->
+      Pool.shutdown pool;
+      Option.iter Checkpoint.close writer)
+    loop;
   let t_end = Obs.now_us () in
   Obs.Metrics.set_gauge "harness.queue_depth" 0.;
   Obs.Metrics.set_gauge "harness.inflight" 0.;

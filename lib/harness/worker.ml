@@ -11,7 +11,7 @@
 
     Watchdogs:
 
-    - {e wall-clock}: the parent owns the deadline. The supervisor's
+    - {e wall-clock}: the parent owns the deadline. The {!Pool}'s
       select loop calls {!kill} (SIGKILL, not catchable, not
       maskable) when a handle's deadline passes; a hang in the child —
       even in a tight non-allocating loop — cannot survive it.
@@ -50,9 +50,7 @@ type handle = {
   pid : int;
   fd : Unix.file_descr;  (** read end of the result pipe *)
   buf : Buffer.t;  (** marshaled result accumulates here *)
-  started_us : float;
   deadline_us : float;  (** [infinity] when the job has no timeout *)
-  mutable reaped : bool;
 }
 
 let signal_name s =
@@ -132,10 +130,8 @@ let spawn ?timeout_us ?memlimit_bytes ?(label = "job") ?(attrs = [])
       pid;
       fd = rfd;
       buf = Buffer.create 256;
-      started_us = now;
       deadline_us =
         (match timeout_us with Some t -> now +. t | None -> infinity);
-      reaped = false;
     }
 
 (** Read whatever the pipe has; [`Eof] means the child closed its end
@@ -155,15 +151,15 @@ let kill (h : handle) =
 
 (** Wait for the child and classify. [timed_out] is the parent's
     verdict and overrides the exit status (a SIGKILLed child reports
-    WSIGNALED, but the cause is the deadline). *)
+    WSIGNALED, but the cause is the deadline). Once per handle: the
+    {!Pool} reaps each worker exactly once. *)
 let reap (h : handle) ~timed_out : 'a verdict =
   let rec wait () =
     match Unix.waitpid [] h.pid with
     | _, status -> status
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
   in
-  let status = if h.reaped then Unix.WEXITED 0 else wait () in
-  h.reaped <- true;
+  let status = wait () in
   (try Unix.close h.fd with Unix.Unix_error _ -> ());
   if timed_out then Timed_out
   else
@@ -192,29 +188,3 @@ let reap (h : handle) ~timed_out : 'a verdict =
     | Unix.WEXITED c -> Crashed (Printf.sprintf "exit %d" c)
     | Unix.WSIGNALED s -> Crashed (signal_name s)
     | Unix.WSTOPPED s -> Crashed (Printf.sprintf "stopped by %s" (signal_name s))
-
-(** Run one job synchronously under the watchdogs: spawn, pump the
-    pipe, enforce the deadline, reap. The supervisor has its own
-    multi-worker loop; this is the one-shot form for tests and simple
-    callers. *)
-let run ?timeout_us ?memlimit_bytes ?label ?attrs
-    (job : unit -> ('a, Diag.t) result) : 'a verdict =
-  let h = spawn ?timeout_us ?memlimit_bytes ?label ?attrs job in
-  let rec pump () =
-    let now = Obs.now_us () in
-    if now >= h.deadline_us then begin
-      kill h;
-      reap h ~timed_out:true
-    end
-    else
-      let wait =
-        if h.deadline_us = infinity then -1.
-        else (h.deadline_us -. now) /. 1e6
-      in
-      match Unix.select [ h.fd ] [] [] wait with
-      | [], _, _ -> pump () (* deadline check on next turn *)
-      | _ :: _, _, _ -> (
-        match read_chunk h with `More -> pump () | `Eof -> reap h ~timed_out:false)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> pump ()
-  in
-  pump ()

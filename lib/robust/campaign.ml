@@ -124,46 +124,40 @@ let compile_corpus ~fuel () : (compiled list, Diag.t) result =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | (name, src, prims_of) :: rest -> (
-      match Driver.Compiler.compile_source_diag src with
-      | Error f -> Error f.Driver.Compiler.fail_diag
-      | Ok arts -> (
-        let p = arts.Driver.Compiler.clight1 in
-        let symbols = Iface.Ast.prog_defs_names p in
+      match Driver.Runners.compile_main ~name src with
+      | Error d -> Error d
+      | Ok (arts, symbols, q) -> (
         let prims = prims_of () in
-        match Driver.Runners.main_query ~symbols ~defs:p () with
-        | None ->
+        let record, read = Io.make_log () in
+        let oracle = Io.a_oracle ~symbols prims record in
+        let fail kind msg =
           Error
-            (Diag.make ~phase:Diag.Campaign ~kind:Diag.Internal_error
+            (Diag.make ~phase:Diag.Campaign ~kind
                ~context:[ ("program", name) ]
-               "cannot build the main query for corpus program %s" name)
-        | Some q -> (
-          let record, read = Io.make_log () in
-          let oracle = Io.a_oracle ~symbols prims record in
-          match
-            Driver.Runners.run_a_level
-              (Backend.Asm.semantics ~symbols arts.Driver.Compiler.asm)
-              ~fuel ~oracle q
-          with
-          | Error e ->
-            Error
-              (Diag.make ~phase:Diag.Campaign ~kind:Diag.Marshal_failure
-                 ~context:[ ("program", name) ]
-                 "reference run of %s failed: %s" name e)
-          | Ok ref_out -> (
-            match read () with
-            | [] ->
-              Error
-                (Diag.make ~phase:Diag.Campaign ~kind:Diag.Internal_error
-                   ~context:[ ("program", name) ]
-                   "corpus program %s never calls its partner" name)
-            | trace ->
-              go
-                ({ cc_name = name; cc_symbols = symbols;
-                   cc_asm = arts.Driver.Compiler.asm;
-                   cc_entry = p.Iface.Ast.prog_main; cc_prims = prims;
-                   cc_query = q; cc_ref = ref_out; cc_trace = trace }
-                :: acc)
-                rest))))
+               "%s" msg)
+        in
+        match
+          Driver.Runners.run_a_level
+            (Backend.Asm.semantics ~symbols arts.Driver.Compiler.asm)
+            ~fuel ~oracle q
+        with
+        | Error e ->
+          fail Diag.Marshal_failure
+            (Printf.sprintf "reference run of %s failed: %s" name e)
+        | Ok ref_out -> (
+          match read () with
+          | [] ->
+            fail Diag.Internal_error
+              (Printf.sprintf "corpus program %s never calls its partner" name)
+          | trace ->
+            go
+              ({ cc_name = name; cc_symbols = symbols;
+                 cc_asm = arts.Driver.Compiler.asm;
+                 cc_entry = arts.Driver.Compiler.clight1.Iface.Ast.prog_main;
+                 cc_prims = prims; cc_query = q; cc_ref = ref_out;
+                 cc_trace = trace }
+              :: acc)
+              rest)))
   in
   go [] corpus
 
@@ -187,15 +181,6 @@ type trial_result = {
   t_verdict : verdict;
 }
 
-let classify_outcome (o : Driver.Runners.c_outcome) : string * bool =
-  match o with
-  | Core.Smallstep.Final _ -> ("final", false)
-  | Core.Smallstep.Goes_wrong (_, why) -> ("goes-wrong: " ^ why, true)
-  | Core.Smallstep.Env_stuck _ -> ("env-stuck", true)
-  | Core.Smallstep.Env_violation (_, why) -> ("env-violation: " ^ why, true)
-  | Core.Smallstep.Refused -> ("refused", true)
-  | Core.Smallstep.Out_of_fuel _ -> ("out-of-fuel", true)
-
 (* Does the observed C1→C2 call sequence agree with the recorded trace
    on the first [upto] activations (names and decoded arguments)? *)
 let prefix_matches ~(trace : Io.log_entry list) ~(calls : Property.call list)
@@ -212,21 +197,28 @@ let prefix_matches ~(trace : Io.log_entry list) ~(calls : Property.call list)
   in
   go 0 trace calls
 
-(** Run trial [i]: link the correct component against the synthesized
-    partner, monitor the boundary, classify. Deterministic in
-    [(seed, i)]. Never raises. *)
-let try_partner ~(compiled : compiled list) ~fuel ~seed i : trial_result =
-  let n_modes = List.length Partner.all_modes in
-  let mode = List.nth Partner.all_modes (i mod n_modes) in
-  let cp = List.nth compiled (i mod List.length compiled) in
-  let rng = Random.State.make [| seed; 8191 * (i + 1) |] in
-  let n_act = List.length cp.cc_trace in
-  let rogue_at = Random.State.int rng n_act in
+(* Link the correct component of [cp] against the environment
+   [make_env] builds, run it while the property monitors watch the
+   boundary, and classify. [rogue_at] is the global activation up to
+   which the replayed call prefix must match the recorded trace. Never
+   raises: a trial whose machinery raises is recorded as one that fails
+   its expectation. *)
+let judge ~(cp : compiled) ~fuel ~index ~mode ~rogue_at make_env : trial_result
+    =
+  let result ~outcome ~props ~detected_by ~prefix_ok =
+    {
+      t_index = index;
+      t_program = cp.cc_name;
+      t_mode = mode;
+      t_rogue_at = rogue_at;
+      t_outcome = outcome;
+      t_props = props;
+      t_detected_by = detected_by;
+      t_prefix_ok = prefix_ok;
+      t_verdict = (if detected_by <> [] then Detected else Undetected);
+    }
+  in
   try
-    let partner =
-      Partner.synthesize ~symbols:cp.cc_symbols ~prims:cp.cc_prims
-        ~entry:cp.cc_entry ~trace:cp.cc_trace ~mode ~rogue_at ()
-    in
     let exports =
       List.map
         (fun (b, p) -> (b, (p.Io.prim_name, p.Io.prim_sig)))
@@ -236,13 +228,13 @@ let try_partner ~(compiled : compiled list) ~fuel ~seed i : trial_result =
     let composed =
       Core.Hcomp.compose ~observe:mon.Property.m_observe
         (Backend.Asm.semantics ~symbols:cp.cc_symbols cp.cc_asm)
-        partner.Partner.p_lts
+        (make_env ())
     in
     let outcome, diagnosed, diverged =
       match Driver.Runners.run_a_level composed ~fuel cp.cc_query with
       | Error e -> ("marshal: " ^ e, true, false)
       | Ok o ->
-        let name, diagnosed = classify_outcome o in
+        let name, diagnosed = Driver.Runners.classify_outcome o in
         let diverged =
           (not diagnosed)
           && not
@@ -251,8 +243,7 @@ let try_partner ~(compiled : compiled list) ~fuel ~seed i : trial_result =
         in
         (name, diagnosed, diverged)
     in
-    let violations = mon.Property.m_violations () in
-    let props = Property.violated violations in
+    let props = Property.violated (mon.Property.m_violations ()) in
     let calls = mon.Property.m_calls () in
     let prefix_ok =
       let upto =
@@ -263,36 +254,29 @@ let try_partner ~(compiled : compiled list) ~fuel ~seed i : trial_result =
       in
       prefix_matches ~trace:cp.cc_trace ~calls ~upto
     in
-    let detected_by =
-      List.map (fun p -> "property:" ^ Property.prop_name p) props
-      @ (if diagnosed then [ "diagnosed:" ^ outcome ] else [])
-      @ if diverged then [ "divergence" ] else []
-    in
-    {
-      t_index = i;
-      t_program = cp.cc_name;
-      t_mode = mode;
-      t_rogue_at = rogue_at;
-      t_outcome = outcome;
-      t_props = props;
-      t_detected_by = detected_by;
-      t_prefix_ok = prefix_ok;
-      t_verdict = (if detected_by <> [] then Detected else Undetected);
-    }
+    result ~outcome ~props ~prefix_ok
+      ~detected_by:
+        (List.map (fun p -> "property:" ^ Property.prop_name p) props
+        @ (if diagnosed then [ "diagnosed:" ^ outcome ] else [])
+        @ if diverged then [ "divergence" ] else [])
   with e ->
-    (* Campaign machinery bug: recorded as a trial that fails its
-       expectation, never an escaped exception. *)
-    {
-      t_index = i;
-      t_program = cp.cc_name;
-      t_mode = mode;
-      t_rogue_at = rogue_at;
-      t_outcome = "uncaught exception: " ^ Printexc.to_string e;
-      t_props = [];
-      t_detected_by = [];
-      t_prefix_ok = false;
-      t_verdict = Undetected;
-    }
+    result
+      ~outcome:("uncaught exception: " ^ Printexc.to_string e)
+      ~props:[] ~detected_by:[] ~prefix_ok:false
+
+(** Run trial [i]: link the correct component against the synthesized
+    partner, monitor the boundary, classify. Deterministic in
+    [(seed, i)]. Never raises. *)
+let try_partner ~(compiled : compiled list) ~fuel ~seed i : trial_result =
+  let n_modes = List.length Partner.all_modes in
+  let mode = List.nth Partner.all_modes (i mod n_modes) in
+  let cp = List.nth compiled (i mod List.length compiled) in
+  let rng = Random.State.make [| seed; 8191 * (i + 1) |] in
+  let rogue_at = Random.State.int rng (List.length cp.cc_trace) in
+  judge ~cp ~fuel ~index:i ~mode ~rogue_at (fun () ->
+      (Partner.synthesize ~symbols:cp.cc_symbols ~prims:cp.cc_prims
+         ~entry:cp.cc_entry ~trace:cp.cc_trace ~mode ~rogue_at ())
+        .Partner.p_lts)
 
 (** What each partner mode must produce. The faithful control must be
     indistinguishable from the recorded run (no detection, full-prefix
@@ -368,44 +352,25 @@ let undetected_rogues (rp : report) : trial_result list =
     (fun t -> t.t_mode <> Partner.Replay_faithful && t.t_verdict = Undetected)
     rp.rb_trials
 
-let record_trial_metrics (t : trial_result) =
-  Obs.Metrics.incr_counter "robust.partners";
+(* Per-trial counters and per-report gauges, under [prefix]
+   ("robust" for the single-partner campaign, "robust.multi" for the
+   multi-partner one). The gauges feed the bench-diff regression gate:
+   an increase in undetected rogue partners (or expectation failures)
+   between runs is a robustness regression. *)
+let record_trial_metrics ~prefix ~counter (t : trial_result) =
+  Obs.Metrics.incr_counter (prefix ^ "." ^ counter);
   if t.t_mode <> Partner.Replay_faithful then
     Obs.Metrics.incr_counter
       (match t.t_verdict with
-      | Detected -> "robust.detected"
-      | Undetected -> "robust.undetected")
+      | Detected -> prefix ^ ".detected"
+      | Undetected -> prefix ^ ".undetected")
 
-(* Gauges for the bench-diff regression gate: an increase in undetected
-   rogue partners (or expectation failures) between runs is a
-   robustness regression. *)
-let record_report_metrics (rp : report) =
-  Obs.Metrics.set_gauge "robust.undetected_rogues"
+let record_report_metrics ~prefix (rp : report) =
+  Obs.Metrics.set_gauge (prefix ^ ".undetected_rogues")
     (float_of_int (List.length (undetected_rogues rp)));
-  Obs.Metrics.set_gauge "robust.expectation_failures"
+  Obs.Metrics.set_gauge (prefix ^ ".expectation_failures")
     (float_of_int
        (List.length (List.filter (fun t -> not (expectation t)) rp.rb_trials)))
-
-(** {1 Running}
-
-    In-process and supervised runners; both produce trial [i] from
-    [(seed, i)] alone. *)
-
-let run ?(fuel = default_fuel) ?(on_result = fun _ -> ()) ~seed ~partners () :
-    (report, Diag.t) result =
-  match compile_corpus ~fuel () with
-  | Error d -> Error d
-  | Ok compiled ->
-    let results =
-      List.init partners (fun i ->
-          let t = try_partner ~compiled ~fuel ~seed i in
-          record_trial_metrics t;
-          on_result t;
-          t)
-    in
-    let rp = assemble ~seed ~requested:partners ~results in
-    record_report_metrics rp;
-    Ok rp
 
 (** The job the [--inject-hang] smoke test adds: a partner worker that
     never terminates, so the supervisor's watchdog must classify it as
@@ -428,44 +393,45 @@ let hang_job : trial_result option Sup.job =
     job_degraded = None;
   }
 
-(** The supervised campaign: one forked worker per trial, so a partner
-    that wedges or bombs the heap is a [Timed_out]/[Crashed] outcome —
-    a classified verdict at the supervisor layer — rather than the end
-    of the campaign. Returns the report over the trials that completed,
-    plus the raw supervisor outcomes. *)
-let run_supervised ?(fuel = default_fuel) ?(on_result = fun _ -> ())
-    ?(inject_hang = false) ~(cfg : Sup.config) ~seed ~partners () :
-    (report * trial_result option Sup.outcome list, Diag.t) result =
+(** {1 Running}
+
+    One runner over {!Harness.Trials} for every variant: trial [i] comes
+    from [(seed, i)] alone, in-process or, with [supervise], in one
+    forked worker per trial, so a partner that wedges or bombs the heap
+    is a [Timed_out]/[Crashed] outcome — a classified verdict at the
+    supervisor layer — rather than the end of the campaign. The report
+    covers the trials that completed. *)
+let run_trials ?supervise ?(inject_hang = false) ?(on_result = fun _ -> ())
+    ~fuel ~prefix ~counter ~try_trial ~seed ~n () =
   match compile_corpus ~fuel () with
   | Error d -> Error d
   | Ok compiled ->
-    let jobs =
-      List.init partners (fun i ->
-          {
-            Sup.job_id = Printf.sprintf "partner-%04d" i;
-            job_class = "compromise-partner";
-            job_run =
-              (fun ~attempt:_ -> Ok (Some (try_partner ~compiled ~fuel ~seed i)));
-            job_degraded = None;
-          })
-      @ if inject_hang then [ hang_job ] else []
+    let results, outcomes =
+      Harness.Trials.run ?supervise
+        ~extra:(if inject_hang then [ hang_job ] else [])
+        ~id_prefix:"partner" ~job_class:"compromise-partner" ~n
+        ~on_result:(fun t ->
+          record_trial_metrics ~prefix ~counter t;
+          on_result t)
+        (fun i -> Some (try_trial ~compiled ~fuel ~seed i))
     in
-    let results = ref [] in
-    let on_outcome (o : trial_result option Sup.outcome) =
-      match o.Sup.o_payload with
-      | Some (Some t) ->
-        record_trial_metrics t;
-        on_result t;
-        results := t :: !results
-      | _ -> ()
-    in
-    let outcomes = Sup.run ~on_outcome cfg jobs in
-    let results =
-      List.sort (fun a b -> compare a.t_index b.t_index) !results
-    in
-    let rp = assemble ~seed ~requested:partners ~results in
-    record_report_metrics rp;
+    let rp = assemble ~seed ~requested:n ~results in
+    record_report_metrics ~prefix rp;
     Ok (rp, outcomes)
+
+(** The in-process campaign. *)
+let run ?(fuel = default_fuel) ?on_result ~seed ~partners () :
+    (report, Diag.t) result =
+  Result.map fst
+    (run_trials ?on_result ~fuel ~prefix:"robust" ~counter:"partners"
+       ~try_trial:try_partner ~seed ~n:partners ())
+
+(** The supervised campaign; returns the report plus the raw supervisor
+    outcomes. *)
+let run_supervised ?(fuel = default_fuel) ?on_result ?inject_hang
+    ~(cfg : Sup.config) ~seed ~partners () =
+  run_trials ~supervise:cfg ?inject_hang ?on_result ~fuel ~prefix:"robust"
+    ~counter:"partners" ~try_trial:try_partner ~seed ~n:partners ()
 
 (** {1 Multi-partner composition}
 
@@ -525,110 +491,30 @@ let try_multi ~(compiled : compiled list) ~fuel ~seed i : trial_result =
   let global_rogue_at =
     global_rogue_index ~rogue_prims ~trace:cp.cc_trace ~local:rogue_local_at
   in
-  try
-    let faithful =
-      Partner.synthesize ~symbols:cp.cc_symbols ~prims:faithful_prims
-        ~entry:cp.cc_entry
-        ~trace:(partner_trace faithful_prims cp.cc_trace)
-        ~mode:Partner.Replay_faithful ~rogue_at:0 ()
-    in
-    let rogue =
-      Partner.synthesize ~symbols:cp.cc_symbols ~prims:rogue_prims
-        ~entry:cp.cc_entry ~trace:rogue_trace ~mode ~rogue_at:rogue_local_at
-        ()
-    in
-    (* The two partners become one environment component; their domains
-       are disjoint by construction (distinct primitive symbols). *)
-    let pair =
-      Core.Hcomp.compose_all [| faithful.Partner.p_lts; rogue.Partner.p_lts |]
-    in
-    let exports =
-      List.map
-        (fun (b, p) -> (b, (p.Io.prim_name, p.Io.prim_sig)))
-        (Partner.export_table ~symbols:cp.cc_symbols cp.cc_prims)
-    in
-    let mon = Property.monitor ~exports ~partner_imports:[] () in
-    let composed =
-      Core.Hcomp.compose ~observe:mon.Property.m_observe
-        (Backend.Asm.semantics ~symbols:cp.cc_symbols cp.cc_asm)
-        pair
-    in
-    let outcome, diagnosed, diverged =
-      match Driver.Runners.run_a_level composed ~fuel cp.cc_query with
-      | Error e -> ("marshal: " ^ e, true, false)
-      | Ok o ->
-        let name, diagnosed = classify_outcome o in
-        let diverged =
-          (not diagnosed)
-          && not
-               (Driver.Runners.outcome_refines cp.cc_ref o
-               && Driver.Runners.outcome_refines o cp.cc_ref)
-        in
-        (name, diagnosed, diverged)
-    in
-    let violations = mon.Property.m_violations () in
-    let props = Property.violated violations in
-    let calls = mon.Property.m_calls () in
-    let prefix_ok =
-      let upto =
-        if mode = Partner.Replay_faithful then
-          max (List.length cp.cc_trace) (List.length calls)
-        else global_rogue_at
+  judge ~cp ~fuel ~index:i ~mode ~rogue_at:global_rogue_at (fun () ->
+      let faithful =
+        Partner.synthesize ~symbols:cp.cc_symbols ~prims:faithful_prims
+          ~entry:cp.cc_entry
+          ~trace:(partner_trace faithful_prims cp.cc_trace)
+          ~mode:Partner.Replay_faithful ~rogue_at:0 ()
       in
-      prefix_matches ~trace:cp.cc_trace ~calls ~upto
-    in
-    let detected_by =
-      List.map (fun p -> "property:" ^ Property.prop_name p) props
-      @ (if diagnosed then [ "diagnosed:" ^ outcome ] else [])
-      @ if diverged then [ "divergence" ] else []
-    in
-    {
-      t_index = i;
-      t_program = cp.cc_name;
-      t_mode = mode;
-      t_rogue_at = global_rogue_at;
-      t_outcome = outcome;
-      t_props = props;
-      t_detected_by = detected_by;
-      t_prefix_ok = prefix_ok;
-      t_verdict = (if detected_by <> [] then Detected else Undetected);
-    }
-  with e ->
-    {
-      t_index = i;
-      t_program = cp.cc_name;
-      t_mode = mode;
-      t_rogue_at = global_rogue_at;
-      t_outcome = "uncaught exception: " ^ Printexc.to_string e;
-      t_props = [];
-      t_detected_by = [];
-      t_prefix_ok = false;
-      t_verdict = Undetected;
-    }
+      let rogue =
+        Partner.synthesize ~symbols:cp.cc_symbols ~prims:rogue_prims
+          ~entry:cp.cc_entry ~trace:rogue_trace ~mode
+          ~rogue_at:rogue_local_at ()
+      in
+      (* The two partners become one environment component; their
+         domains are disjoint by construction (distinct primitive
+         symbols). *)
+      Core.Hcomp.compose_all [| faithful.Partner.p_lts; rogue.Partner.p_lts |])
 
 (** The multi-partner campaign, in-process (the trials are cheap: the
     expensive corpus compile happens once). *)
-let run_multi ?(fuel = default_fuel) ?(on_result = fun _ -> ()) ~seed ~trials
-    () : (report, Diag.t) result =
-  match compile_corpus ~fuel () with
-  | Error d -> Error d
-  | Ok compiled ->
-    let results =
-      List.init trials (fun i ->
-          let t = try_multi ~compiled ~fuel ~seed i in
-          Obs.Metrics.incr_counter "robust.multi.trials";
-          if t.t_mode <> Partner.Replay_faithful then
-            Obs.Metrics.incr_counter
-              (match t.t_verdict with
-              | Detected -> "robust.multi.detected"
-              | Undetected -> "robust.multi.undetected");
-          on_result t;
-          t)
-    in
-    let rp = assemble ~seed ~requested:trials ~results in
-    Obs.Metrics.set_gauge "robust.multi.undetected_rogues"
-      (float_of_int (List.length (undetected_rogues rp)));
-    Ok rp
+let run_multi ?(fuel = default_fuel) ?on_result ~seed ~trials () :
+    (report, Diag.t) result =
+  Result.map fst
+    (run_trials ?on_result ~fuel ~prefix:"robust.multi" ~counter:"trials"
+       ~try_trial:try_multi ~seed ~n:trials ())
 
 (** Acceptance for the multi-partner matrix: the same bar as the
     single-partner campaign — every rogue mode exercised and detected

@@ -1,11 +1,11 @@
 (** The compile service: a long-running supervisor loop accepting
     compile requests over a Unix-domain socket ([occo serve]).
 
-    One single-threaded [select] loop multiplexes three kinds of file
-    descriptors — the listening socket, the client connections (one
-    line-JSON request per line, {!Protocol}), and the result pipes of
-    the forked {!Harness.Worker} processes actually compiling — so the
-    daemon itself never blocks on any one of them. The daemon process
+    One single-threaded loop drives a {!Harness.Pool} of forked
+    compile workers and hands the pool's [select] its own fds — the
+    listening socket and the client connections (one line-JSON request
+    per line, {!Protocol}) — so the daemon itself never blocks on any
+    one of them. The daemon process
     {e never compiles}: compilation interns identifiers
     ({!Support.Ident} is positional and process-global), and keeping
     the parent's intern table frozen after startup is what makes every
@@ -47,6 +47,7 @@
 module Json = Obs.Json
 module Diag = Support.Diagnostics
 module Worker = Harness.Worker
+module Pool = Harness.Pool
 module Breaker = Harness.Breaker
 module Backoff = Harness.Backoff
 module Checkpoint = Harness.Checkpoint
@@ -151,12 +152,9 @@ type pending = {
   q_deadline_us : float;  (** absolute; [infinity] without a deadline *)
   q_attempt : int;
   q_crashes : int;  (** worker crashes so far — the poison counter *)
-  q_ready_us : float;  (** backoff: not before this instant *)
   q_degraded : bool;  (** forced onto the [-O0] path *)
   q_rng : Random.State.t;
 }
-
-type running = { r_handle : Worker.handle; r_pending : pending }
 
 (** The journal id of a request: stable across restarts (content hash,
     not arrival order), so the poison set survives [--resume]. *)
@@ -229,8 +227,7 @@ let serve (cfg : config) : int =
       ~cooldown_us:cfg.s_breaker_cooldown_us "serve.compile"
   in
   let conns : conn list ref = ref [] in
-  let queue : pending list ref = ref [] in
-  let running : running list ref = ref [] in
+  let pool = Pool.create ~capacity:cfg.s_jobs in
   let served = ref 0 in
   let t_start = Obs.now_us () in
   let reply_error (p : pending) ~status ~(diag : Diag.t) ~now =
@@ -269,43 +266,39 @@ let serve (cfg : config) : int =
       ~optimize:(p.q_req.Protocol.rq_optimize && not p.q_degraded)
       ()
   in
-  let launch ~now (p : pending) =
-    if not (Breaker.allow breaker ~now_us:now) then begin
-      Obs.Metrics.incr_counter "serve.shed.breaker";
-      reply_error p ~status:"shed" ~now
+  (* Queue one attempt of [p] on the pool: the breaker decides at launch
+     time, and the end-to-end deadline both expires it while queued and
+     caps its worker's watchdog. *)
+  let rec submit ~ready_us (p : pending) =
+    let admit ~now =
+      Breaker.allow breaker ~now_us:now
+      || begin
+        Obs.Metrics.incr_counter "serve.shed.breaker";
+        reply_error p ~status:"shed" ~now
+          ~diag:
+            (Diag.make ~phase:Diag.Service ~kind:Diag.Circuit_open
+               "request shed: the compile circuit breaker is open");
+        false
+      end
+    and on_expire ~now =
+      Obs.Metrics.incr_counter "serve.deadline_exceeded";
+      reply_error p ~status:"failed" ~now
         ~diag:
-          (Diag.make ~phase:Diag.Service ~kind:Diag.Circuit_open
-             "request shed: the compile circuit breaker is open")
-    end
-    else begin
-      let timeout_us =
-        (* End-to-end deadline: the worker may use at most what is left
-           of it, and at most the per-attempt cap. *)
-        let remaining =
-          if p.q_deadline_us = infinity then None
-          else Some (Float.max 1e4 (p.q_deadline_us -. now))
-        in
-        match (cfg.s_timeout_us, remaining) with
-        | Some a, Some b -> Some (Float.min a b)
-        | (Some _ as a), None -> a
-        | None, r -> r
-      in
-      let h =
-        Worker.spawn ?timeout_us ?memlimit_bytes:cfg.s_memlimit_bytes
-          ~label:("serve:" ^ String.sub p.q_key 0 8)
-          ~attrs:
-            [
-              ("attempt", Json.num_of_int p.q_attempt);
-              ("degraded", Json.Bool p.q_degraded);
-            ]
-          (job_thunk p)
-      in
-      running := { r_handle = h; r_pending = p } :: !running
-    end
-  in
+          (Diag.make ~phase:Diag.Service ~kind:Diag.Deadline_exceeded
+             "request deadline passed while queued")
+    in
+    Pool.submit pool ~ready_us ~deadline_us:p.q_deadline_us
+      ?timeout_us:cfg.s_timeout_us ?memlimit_bytes:cfg.s_memlimit_bytes
+      ~label:("serve:" ^ String.sub p.q_key 0 8)
+      ~attrs:
+        [
+          ("attempt", Json.num_of_int p.q_attempt);
+          ("degraded", Json.Bool p.q_degraded);
+        ]
+      ~admit ~on_expire ~on_verdict:(conclude p) (job_thunk p)
   (* Decide what a worker verdict leads to: reply, retry, degrade,
      poison. *)
-  let conclude ~now (p : pending) (v : Engine.result Worker.verdict) =
+  and conclude (p : pending) ~now (v : Engine.result Worker.verdict) =
     Breaker.record breaker ~now_us:now
       ~ok:(match v with Worker.Returned (Ok _) -> true | _ -> false);
     (* [retry] requeues exactly the pending it is given — the caller
@@ -317,19 +310,24 @@ let serve (cfg : config) : int =
           ~attempt:(p.q_attempt + 1)
       in
       Obs.Metrics.incr_counter "serve.retries";
-      queue :=
-        !queue
-        @ [
-            {
-              p with
-              q_attempt = p.q_attempt + 1;
-              q_ready_us = now +. delay;
-              q_degraded = degraded;
-              q_opts =
-                (if degraded then Engine.options_tag ~optimize:false
-                 else p.q_opts);
-            };
-          ]
+      submit ~ready_us:(now +. delay)
+        {
+          p with
+          q_attempt = p.q_attempt + 1;
+          q_degraded = degraded;
+          q_opts =
+            (if degraded then Engine.options_tag ~optimize:false else p.q_opts);
+        }
+    in
+    (* A worker that died or hung: retry, then one last lifeline at
+       -O0, then give up with [status]/[diag]. *)
+    let retry_or_degrade p ~status ~diag =
+      if p.q_attempt < cfg.s_retries then retry p
+      else if not p.q_degraded then begin
+        Obs.Metrics.incr_counter "serve.degraded";
+        retry ~degraded:true p
+      end
+      else reply_error p ~status ~now ~diag
     in
     match v with
     | Worker.Returned (Ok r) -> reply_result p r ~now
@@ -356,14 +354,8 @@ let serve (cfg : config) : int =
                ~context:[ ("crashes", string_of_int crashes) ]
                "request crashed %d workers and was quarantined" crashes)
       end
-      else if p.q_attempt < cfg.s_retries then retry p
-      else if not p.q_degraded then begin
-        (* Retries exhausted: one last lifeline at -O0. *)
-        Obs.Metrics.incr_counter "serve.degraded";
-        retry ~degraded:true p
-      end
       else
-        reply_error p ~status:"crashed" ~now
+        retry_or_degrade p ~status:"crashed"
           ~diag:
             (Diag.make ~phase:Diag.Service ~kind:Diag.Job_crashed
                "worker died %d times; degraded fallback crashed too" crashes))
@@ -375,21 +367,11 @@ let serve (cfg : config) : int =
             (Diag.make ~phase:Diag.Service ~kind:Diag.Deadline_exceeded
                "request deadline passed while compiling")
       end
-      else if p.q_attempt < cfg.s_retries then retry p
-      else if not p.q_degraded then begin
-        Obs.Metrics.incr_counter "serve.degraded";
-        retry ~degraded:true p
-      end
       else
-        reply_error p ~status:"timeout" ~now
+        retry_or_degrade p ~status:"timeout"
           ~diag:
             (Diag.make ~phase:Diag.Service ~kind:Diag.Job_timeout
                "worker exceeded its wall-clock limit on every attempt")
-  in
-  let reap ~timed_out ~now (r : running) =
-    running := List.filter (fun r' -> r' != r) !running;
-    if timed_out then Worker.kill r.r_handle;
-    conclude ~now r.r_pending (Worker.reap r.r_handle ~timed_out)
   in
   (* Admission: every request gets exactly one reply, and the expensive
      ones only get as far as their failure mode allows. *)
@@ -413,8 +395,8 @@ let serve (cfg : config) : int =
              [
                ("id", Json.Str req.Protocol.rq_id);
                ("status", Json.Str "stats");
-               ("queue_depth", Json.num_of_int (List.length !queue));
-               ("inflight", Json.num_of_int (List.length !running));
+               ("queue_depth", Json.num_of_int (Pool.queued pool));
+               ("inflight", Json.num_of_int (Pool.running pool));
                ("served", Json.num_of_int !served);
                ("metrics", Obs.Metrics.dump_json ());
              ])
@@ -426,7 +408,7 @@ let serve (cfg : config) : int =
           (* Overload watermark: new optimized work drops to the -O0
              fast path before the queue fills enough to shed. *)
           req.Protocol.rq_optimize
-          && List.length !queue >= cfg.s_degrade_watermark
+          && Pool.queued pool >= cfg.s_degrade_watermark
         in
         let optimize = req.Protocol.rq_optimize && not degraded in
         let key = Cache.key_of ~source:req.Protocol.rq_source in
@@ -444,7 +426,6 @@ let serve (cfg : config) : int =
               | None -> infinity);
             q_attempt = 0;
             q_crashes = 0;
-            q_ready_us = now;
             q_degraded = degraded;
             q_rng = Random.State.make [| cfg.s_seed; Hashtbl.hash key |];
           }
@@ -461,7 +442,7 @@ let serve (cfg : config) : int =
               (Diag.make ~phase:Diag.Service ~kind:Diag.Poisoned
                  "request is quarantined: it previously crashed its workers")
         end
-        else if List.length !queue >= cfg.s_queue_cap then begin
+        else if Pool.queued pool >= cfg.s_queue_cap then begin
           Obs.Metrics.incr_counter "serve.shed.overload";
           reply_error p ~status:"shed" ~now
             ~diag:
@@ -483,7 +464,7 @@ let serve (cfg : config) : int =
             send_line c
               (Protocol.reply ~id:req.Protocol.rq_id ~status:"ok" ~cache:"hit"
                  ~degraded ~elapsed_us:(Obs.now_us () -. now) ~summary ())
-          | None -> queue := !queue @ [ p ]
+          | None -> submit ~ready_us:now p
         end)
   in
   (* Pull complete lines out of a connection's buffer. *)
@@ -513,113 +494,35 @@ let serve (cfg : config) : int =
   in
   (* ---------------- the loop ---------------- *)
   let loop () =
-    let live = ref true in
-    while !live do
-      let now = Obs.now_us () in
+    while not (!draining && Pool.idle pool) do
       Obs.Metrics.set_gauge "serve.queue_depth"
-        (float_of_int (List.length !queue));
+        (float_of_int (Pool.queued pool));
       Obs.Metrics.set_gauge "serve.inflight"
-        (float_of_int (List.length !running));
-      (* Expire queued requests whose end-to-end deadline has passed:
-         they must not consume a worker they can no longer use. *)
-      let expired, alive =
-        List.partition (fun p -> now >= p.q_deadline_us) !queue
-      in
-      queue := alive;
+        (float_of_int (Pool.running pool));
+      let conn_fds = List.map (fun c -> c.c_fd) !conns in
+      let fds = (if !draining then [] else [ listen_fd ]) @ conn_fds in
       List.iter
-        (fun p ->
-          Obs.Metrics.incr_counter "serve.deadline_exceeded";
-          reply_error p ~status:"failed" ~now
-            ~diag:
-              (Diag.make ~phase:Diag.Service ~kind:Diag.Deadline_exceeded
-                 "request deadline passed while queued"))
-        expired;
-      (* Launch every ready request while there is worker capacity. *)
-      let rec fill () =
-        if List.length !running < max 1 cfg.s_jobs then
-          match List.partition (fun p -> p.q_ready_us <= now) !queue with
-          | p :: rest_ready, not_ready ->
-            queue := rest_ready @ not_ready;
-            launch ~now p;
-            fill ()
-          | [], _ -> ()
-      in
-      fill ();
-      (* Kill workers past their wall-clock deadline. *)
-      List.iter
-        (fun r ->
-          if now >= r.r_handle.Worker.deadline_us then
-            reap ~timed_out:true ~now r)
-        !running;
-      (* Done draining? *)
-      if !draining && !queue = [] && !running = [] then live := false
-      else begin
-        let next_deadline =
-          List.fold_left
-            (fun acc r -> Float.min acc r.r_handle.Worker.deadline_us)
-            infinity !running
-        and next_ready =
-          List.fold_left
-            (fun acc p ->
-              Float.min acc (Float.min p.q_ready_us p.q_deadline_us))
-            infinity !queue
-        in
-        let horizon = Float.min next_deadline next_ready in
-        let wait_s =
-          if horizon = infinity then 0.25
-          else Float.max 0.01 (Float.min 0.25 ((horizon -. now) /. 1e6))
-        in
-        let conn_fds =
-          List.filter_map
-            (fun c -> if c.c_closed then None else Some c.c_fd)
-            !conns
-        and worker_fds = List.map (fun r -> r.r_handle.Worker.fd) !running in
-        let read_set =
-          (if !draining then [] else [ listen_fd ]) @ conn_fds @ worker_fds
-        in
-        match Unix.select read_set [] [] wait_s with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | ready, _, _ ->
-          List.iter
-            (fun fd ->
-              if fd = listen_fd then begin
-                match Unix.accept listen_fd with
-                | cfd, _ ->
-                  conns :=
-                    { c_fd = cfd; c_buf = Buffer.create 256; c_closed = false }
-                    :: !conns
-                | exception Unix.Unix_error _ -> ()
-              end
-              else
-                match
-                  List.find_opt (fun r -> r.r_handle.Worker.fd = fd) !running
-                with
-                | Some r -> (
-                  match Worker.read_chunk r.r_handle with
-                  | `More -> ()
-                  | `Eof -> reap ~timed_out:false ~now:(Obs.now_us ()) r)
-                | None -> (
-                  match
-                    List.find_opt
-                      (fun c -> (not c.c_closed) && c.c_fd = fd)
-                      !conns
-                  with
-                  | Some c -> read_conn c ~now:(Obs.now_us ())
-                  | None -> ()))
-            ready;
-          conns := List.filter (fun c -> not c.c_closed) !conns
-      end
+        (fun fd ->
+          if fd = listen_fd then begin
+            match Unix.accept listen_fd with
+            | cfd, _ ->
+              conns :=
+                { c_fd = cfd; c_buf = Buffer.create 256; c_closed = false }
+                :: !conns
+            | exception Unix.Unix_error _ -> ()
+          end
+          else
+            match List.find_opt (fun c -> (not c.c_closed) && c.c_fd = fd) !conns with
+            | Some c -> read_conn c ~now:(Obs.now_us ())
+            | None -> ())
+        (Pool.poll pool ~fds ~max_wait_s:0.25 ());
+      conns := List.filter (fun c -> not c.c_closed) !conns
     done
   in
   let cleanup () =
     (* No worker outlives the daemon; every journal line already hit
        the disk. Compact so the next incarnation loads a snapshot. *)
-    List.iter
-      (fun r ->
-        Worker.kill r.r_handle;
-        ignore (Worker.reap r.r_handle ~timed_out:true))
-      !running;
-    running := [];
+    Pool.shutdown pool;
     Option.iter Checkpoint.close journal;
     Option.iter (fun p -> ignore (Checkpoint.compact p)) cfg.s_journal;
     List.iter close_conn !conns;

@@ -12,7 +12,9 @@
       fallback rather than miscompiling;
     - the pre-decoded direct-threaded Asm interpreter agrees with the
       naive instruction-at-a-time decoder, on random programs and on
-      the examples/c corpus. *)
+      the examples/c corpus, at full fuel and at equal small budgets
+      (one fuel unit retires one instruction in both, so they run out
+      of fuel in the same state). *)
 
 open Support
 
@@ -24,9 +26,9 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Compile [src] and run its [main] under both Asm interpreters,
-   rendering each outcome. *)
-let run_both_interps src =
+(* Compile [src] and run its [main] under both Asm interpreters with
+   the same [fuel], rendering each outcome. *)
+let run_both_interps ?(fuel = 2_000_000) src =
   let p = Cfrontend.Cparser.parse_program src in
   let symbols = Iface.Ast.prog_defs_names p in
   let arts = Errors.get (Driver.Compiler.compile p) in
@@ -36,7 +38,7 @@ let run_both_interps src =
     Result.map render
       (Driver.Runners.run_a_level
          (sem ~symbols arts.Driver.Compiler.asm)
-         ~fuel:2_000_000 q)
+         ~fuel q)
   in
   (run Backend.Asm.semantics, run Backend.Asm.semantics_naive)
 
@@ -78,15 +80,27 @@ let allocators_validate =
 
 (* --- Interpreter differential: threaded vs naive dispatch ------------ *)
 
+(* Budgets small enough that most programs stop mid-run: the outcomes,
+   [Out_of_fuel] state included, must still be identical. *)
+let lockstep_fuels = [ 1; 7; 100; 2_000_000 ]
+
+(* The first fuel at which the two dispatchers disagree, if any. *)
+let first_disagreement src =
+  List.find_map
+    (fun fuel ->
+      let threaded, naive = run_both_interps ~fuel src in
+      if threaded = naive then None else Some (fuel, threaded, naive))
+    lockstep_fuels
+
 let interpreters_agree =
   QCheck.Test.make ~name:"threaded and naive interpreters agree" ~count:15
     Testlib.Test_gen.arb_program (fun src ->
       QCheck.assume (parses src);
-      let threaded, naive = run_both_interps src in
-      if threaded = naive then true
-      else
-        QCheck.Test.fail_reportf "interpreters disagree@.--- program ---@.%s"
-          src)
+      match first_disagreement src with
+      | None -> true
+      | Some (fuel, _, _) ->
+        QCheck.Test.fail_reportf
+          "interpreters disagree at fuel %d@.--- program ---@.%s" fuel src)
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest [ allocators_validate; interpreters_agree ]
@@ -152,9 +166,15 @@ let unit_tests =
         List.iter
           (fun file ->
             let src = read_file (Filename.concat dir file) in
-            let threaded, naive = run_both_interps src in
-            check (file ^ ": interpreters agree") true (threaded = naive);
-            check (file ^ ": run completed") true (Result.is_ok threaded))
+            (match first_disagreement src with
+            | None -> ()
+            | Some (fuel, threaded, naive) ->
+              Alcotest.failf "%s: interpreters disagree at fuel %d:@.%s@.%s"
+                file fuel
+                (Result.fold ~ok:Fun.id ~error:Fun.id threaded)
+                (Result.fold ~ok:Fun.id ~error:Fun.id naive));
+            check (file ^ ": run completed") true
+              (Result.is_ok (fst (run_both_interps src))))
           files);
   ]
 

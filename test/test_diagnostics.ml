@@ -107,6 +107,19 @@ let driver_tests =
         | Error f ->
           check "kind" true
             (f.Driver.Compiler.fail_diag.Diag.kind = Diag.Lexical_error));
+    Alcotest.test_case "an out-of-range integer literal is a lexical error"
+      `Quick (fun () ->
+        match
+          Driver.Compiler.compile_source_diag
+            "int main(void) { return 99999999999999999999999; }"
+        with
+        | Ok _ -> Alcotest.fail "expected a lex failure"
+        | Error f ->
+          let d = f.Driver.Compiler.fail_diag in
+          check "phase" true (d.Diag.phase = Diag.Parsing);
+          check "kind" true (d.Diag.kind = Diag.Lexical_error);
+          check "names the cause" true
+            (contains d.Diag.message "out of range"));
     Alcotest.test_case "zero budget degrades gracefully with partials" `Quick
       (fun () ->
         (* A budget no pass can meet: the first pass completes (its

@@ -11,6 +11,7 @@ module Backoff = Harness.Backoff
 module Breaker = Harness.Breaker
 module Checkpoint = Harness.Checkpoint
 module Worker = Harness.Worker
+module Pool = Harness.Pool
 module Sup = Harness.Supervisor
 
 let check = Alcotest.(check bool)
@@ -375,7 +376,7 @@ let worker_tests =
   [
     Alcotest.test_case "a healthy job's result crosses the pipe" `Quick
       (fun () ->
-        match Worker.run (fun () -> Ok (6 * 7)) with
+        match Pool.run_one (fun () -> Ok (6 * 7)) with
         | Worker.Returned (Ok 42) -> ()
         | _ -> Alcotest.fail "expected Returned (Ok 42)");
     Alcotest.test_case "a structured Error is a result, not a crash" `Quick
@@ -383,21 +384,21 @@ let worker_tests =
         let d =
           Diag.make ~phase:Diag.Batch ~kind:Diag.Validation_failure "no"
         in
-        match Worker.run (fun () -> Error d) with
+        match Pool.run_one (fun () -> Error d) with
         | Worker.Returned (Error d') ->
           check "kind survives marshaling" true
             (d'.Diag.kind = Diag.Validation_failure)
         | _ -> Alcotest.fail "expected Returned (Error _)");
     Alcotest.test_case "an uncaught exception becomes a diagnostic" `Quick
       (fun () ->
-        match Worker.run (fun () -> failwith "boom") with
+        match Pool.run_one (fun () -> failwith "boom") with
         | Worker.Returned (Error d) ->
           check "internal error" true (d.Diag.kind = Diag.Internal_error)
         | _ -> Alcotest.fail "expected Returned (Error _)");
     Alcotest.test_case "kill -9 in the child is classified as a crash" `Quick
       (fun () ->
         match
-          Worker.run (fun () ->
+          Pool.run_one (fun () ->
               Unix.kill (Unix.getpid ()) Sys.sigkill;
               Ok 0)
         with
@@ -410,7 +411,7 @@ let worker_tests =
     Alcotest.test_case "a hung job is killed at its deadline" `Quick
       (fun () ->
         match
-          Worker.run ~timeout_us:200_000. (fun () ->
+          Pool.run_one ~timeout_us:200_000. (fun () ->
               while true do
                 ignore (Sys.opaque_identity 0)
               done;
@@ -421,7 +422,7 @@ let worker_tests =
     Alcotest.test_case "a runaway allocator trips the memory watchdog" `Quick
       (fun () ->
         match
-          Worker.run ~timeout_us:20e6 ~memlimit_bytes:(32 * 1024 * 1024)
+          Pool.run_one ~timeout_us:20e6 ~memlimit_bytes:(32 * 1024 * 1024)
             (fun () ->
               let rec grow acc =
                 grow (Array.make 65536 (List.length acc) :: acc)

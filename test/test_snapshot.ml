@@ -7,6 +7,7 @@
     level and the actual [occo bench-diff] exit codes). *)
 
 module Worker = Harness.Worker
+module Pool = Harness.Pool
 module Sup = Harness.Supervisor
 module Breaker = Harness.Breaker
 
@@ -405,7 +406,7 @@ let worker_tests =
   [
     Alcotest.test_case "unmarshalable payload classifies as pipe-write \
                         failure, not a crash" `Quick (fun () ->
-        match Worker.run (fun () -> Ok (fun x -> x + 1)) with
+        match Pool.run_one (fun () -> Ok (fun x -> x + 1)) with
         | Worker.Pipe_write_failed -> ()
         | Worker.Crashed why ->
           Alcotest.failf "misclassified as generic crash: %s" why
@@ -415,7 +416,7 @@ let worker_tests =
         with_fresh_obs (fun () ->
             Obs.Metrics.incr_counter "parent.count";
             let v =
-              Worker.run ~label:"job:telemetry"
+              Pool.run_one ~label:"job:telemetry"
                 ~attrs:[ ("class", Obs.Json.Str "test") ]
                 (fun () ->
                   Obs.Metrics.incr_counter "child.count";
@@ -450,7 +451,7 @@ let worker_tests =
       (fun () ->
         Obs.reset_all ();
         check "obs is off" false !Obs.enabled;
-        (match Worker.run (fun () -> Ok 7) with
+        (match Pool.run_one (fun () -> Ok 7) with
         | Worker.Returned (Ok 7) -> ()
         | _ -> Alcotest.fail "job failed");
         check "nothing grafted" true (Obs.Trace.grafted () = []));
