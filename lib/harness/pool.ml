@@ -97,9 +97,12 @@ let finish p ~timed_out ~now (t, h) =
   if timed_out then Worker.kill h;
   t.t_on_verdict ~now (Worker.reap h ~timed_out)
 
-(** One turn of the pool (see the module comment). Without caller fds
-    and with nothing queued or running it returns at once. *)
-let poll p ?(fds = []) ~max_wait_s () : Unix.file_descr list =
+(** One turn of the pool (see the module comment). [fds] is asked for
+    the caller's fds just before the [select], after the expiry, launch
+    and kill hooks ran, so a connection one of them closed is not
+    watched. Without caller fds and with nothing queued or running it
+    returns at once. *)
+let poll p ?(fds = fun () -> []) ~max_wait_s () : Unix.file_descr list =
   let now = Obs.now_us () in
   let expired, alive =
     List.partition (fun t -> now >= t.t_deadline_us) p.queue
@@ -120,6 +123,7 @@ let poll p ?(fds = []) ~max_wait_s () : Unix.file_descr list =
     (fun ((_, h) as r) ->
       if now >= h.Worker.deadline_us then finish p ~timed_out:true ~now r)
     p.running;
+  let fds = fds () in
   if fds = [] && idle p then []
   else begin
     (* A queued task's ready time only matters while a worker slot is

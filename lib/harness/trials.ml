@@ -30,25 +30,22 @@ let run ?supervise ?(extra = []) ?(on_result = fun _ -> ()) ~id_prefix
     in
     (results, [])
   | Some cfg ->
-    let slots = Array.make n None in
-    let index = Hashtbl.create n in
     let jobs =
       List.init n (fun i ->
-          let id = Printf.sprintf "%s-%04d" id_prefix i in
-          Hashtbl.replace index id i;
           {
-            Supervisor.job_id = id;
+            Supervisor.job_id = Printf.sprintf "%s-%04d" id_prefix i;
             job_class;
             job_run = (fun ~attempt:_ -> Ok (trial i));
             job_degraded = None;
           })
     in
-    let on_outcome (o : 'r option Supervisor.outcome) =
-      match (o.Supervisor.o_payload, Hashtbl.find_opt index o.Supervisor.o_id) with
-      | Some (Some r), Some i ->
-        on_result r;
-        slots.(i) <- Some r
-      | _ -> ()
+    let result (o : 'r option Supervisor.outcome) =
+      Option.join o.Supervisor.o_payload
     in
-    let outcomes = Supervisor.run ~on_outcome cfg (jobs @ extra) in
-    (List.filter_map Fun.id (Array.to_list slots), outcomes)
+    let outcomes =
+      Supervisor.run
+        ~on_outcome:(fun o -> Option.iter on_result (result o))
+        cfg (jobs @ extra)
+    in
+    (* [Supervisor.run] returns outcomes in job order, trials first. *)
+    (List.filter_map result (List.filteri (fun i _ -> i < n) outcomes), outcomes)

@@ -499,8 +499,12 @@ let serve (cfg : config) : int =
         (float_of_int (Pool.queued pool));
       Obs.Metrics.set_gauge "serve.inflight"
         (float_of_int (Pool.running pool));
-      let conn_fds = List.map (fun c -> c.c_fd) !conns in
-      let fds = (if !draining then [] else [ listen_fd ]) @ conn_fds in
+      let fds () =
+        (if !draining then [] else [ listen_fd ])
+        @ List.filter_map
+            (fun c -> if c.c_closed then None else Some c.c_fd)
+            !conns
+      in
       List.iter
         (fun fd ->
           if fd = listen_fd then begin

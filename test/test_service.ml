@@ -441,6 +441,37 @@ let serve_tests =
               (diag_kind r = "deadline-exceeded");
             Unix.kill pid Sys.sigterm;
             wait_exit0 "deadline" pid));
+    Alcotest.test_case
+      "client gone before its expired request is answered: daemon lives"
+      `Slow (fun () ->
+        let dir = tmpdir "e2e-gone" in
+        let pid, socket = spawn_daemon Serve.default_config ~dir in
+        Fun.protect
+          ~finally:(fun () ->
+            try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+          (fun () ->
+            check "daemon up" true
+              (status (must ~socket (op_req Protocol.Ping)) = "pong");
+            (* One request line with a deadline that has already passed,
+               then close at once: the daemon reads the line before it
+               sees the EOF, and its deadline reply hits a closed peer
+               before the next wait on the connections. *)
+            for i = 0 to 2 do
+              let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+              Unix.connect fd (Unix.ADDR_UNIX socket);
+              let line =
+                Json.to_string
+                  (Protocol.request_to_json
+                     (compile_req ~deadline_ms:0 (source (20 + i))))
+                ^ "\n"
+              in
+              ignore (Unix.write_substring fd line 0 (String.length line));
+              Unix.close fd
+            done;
+            check "stats still answered" true
+              (status (must ~socket (op_req Protocol.Stats)) = "stats");
+            Unix.kill pid Sys.sigterm;
+            wait_exit0 "gone" pid));
     Alcotest.test_case "overload: beyond the queue cap, requests shed"
       `Slow (fun () ->
         let cfg = { Serve.default_config with Serve.s_queue_cap = 0 } in
